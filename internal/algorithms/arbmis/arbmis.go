@@ -74,29 +74,31 @@ func BoundM(m int) int { return coloralgo.BoundM(m) }
 // membership). With bad guesses some nodes may stay unlayered and output
 // false; termination within Rounds(ã, ñ, m̃) is unconditional.
 func New(aHat, nHat int, mHat int64) local.Algorithm {
-	// The round geometry (layer count, window length, coloring rounds) is a
-	// function of the guesses only; computing it once here instead of every
-	// Round call keeps the per-node round cost constant (the schedule
-	// helpers behind windowRounds rebuild the full Linial/halving schedule).
-	sched := schedule{
+	d := layerDegree(aHat)
+	sched := &schedule{
 		layers:      Layers(nHat),
 		window:      windowRounds(aHat, mHat),
-		colorRounds: coloralgo.DeltaPlusOneRounds(layerDegree(aHat), mHat),
+		degree:      d,
+		colorRounds: coloralgo.DeltaPlusOneRounds(d, mHat),
+		coloring:    coloralgo.DeltaPlusOne(d, mHat),
 	}
 	return local.AlgorithmFunc{
 		AlgoName: fmt.Sprintf("arbmis(ã=%d,ñ=%d)", aHat, nHat),
 		NewNode: func(info local.Info) local.Node {
-			return &node{info: info, aHat: aHat, nHat: nHat, mHat: mHat, sched: sched,
-				activeDeg: info.Degree, layer: -1}
+			return &node{info: info, sched: sched, activeDeg: info.Degree, layer: -1}
 		},
 	}
 }
 
-// schedule is the precomputed round geometry shared by all nodes.
+// schedule holds everything that depends on the guesses only: the round
+// geometry and the per-layer coloring algorithm. New builds it once and all
+// nodes share it read-only, so a window only instantiates a coloring node.
 type schedule struct {
-	layers      int // H-partition peeling rounds
-	window      int // rounds per per-layer window
-	colorRounds int // rounds of the masked coloring inside a window
+	layers      int             // H-partition peeling rounds
+	window      int             // rounds per per-layer window
+	degree      int             // degree bound 4ã inside a layer
+	colorRounds int             // rounds of the masked coloring inside a window
+	coloring    local.Algorithm // the (4ã+1)-coloring run inside each window
 }
 
 // Message types of the protocol.
@@ -120,10 +122,7 @@ func encodeStatus(layer int, undecided, in bool) int {
 
 type node struct {
 	info  local.Info
-	aHat  int
-	nHat  int
-	mHat  int64
-	sched schedule
+	sched *schedule
 
 	// Layering state.
 	activeDeg int
@@ -163,7 +162,7 @@ func (n *node) peel(r int, recv []local.Message) []local.Message {
 			n.activeDeg--
 		}
 	}
-	if n.layer < 0 && n.activeDeg <= layerDegree(n.aHat) {
+	if n.layer < 0 && n.activeDeg <= n.sched.degree {
 		n.layer = r + 1
 		return local.Broadcast(layeredMsg{}, n.info.Degree)
 	}
@@ -172,7 +171,6 @@ func (n *node) peel(r int, recv []local.Message) []local.Message {
 
 // windowRound executes one round of the window for the given layer.
 func (n *node) windowRound(layer, offset int, recv []local.Message) []local.Message {
-	d := layerDegree(n.aHat)
 	colorRounds := n.sched.colorRounds
 	switch {
 	case offset == 0:
@@ -204,7 +202,7 @@ func (n *node) windowRound(layer, offset int, recv []local.Message) []local.Mess
 		for i, p := range ports {
 			ids[i] = n.info.Neighbors[p]
 		}
-		inner := coloralgo.DeltaPlusOne(d, n.mHat).New(local.Info{
+		inner := n.sched.coloring.New(local.Info{
 			ID:        n.info.ID,
 			Degree:    len(ports),
 			Neighbors: ids,

@@ -135,3 +135,17 @@ func min64(a, b int64) int64 {
 	}
 	return b
 }
+
+// TestRoundsWarmHitAllocs pins the round bounds at zero allocations once the
+// Linial schedule of the guesses is memoized: algorithms that size their
+// windows from these bounds call them once per construction.
+func TestRoundsWarmHitAllocs(t *testing.T) {
+	DeltaPlusOneRounds(16, 1<<40)
+	allocs := testing.AllocsPerRun(100, func() {
+		DeltaPlusOneRounds(16, 1<<40)
+		StartPalette(16, 1<<40)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm DeltaPlusOneRounds allocates %.1f objects, want 0", allocs)
+	}
+}

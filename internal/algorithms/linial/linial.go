@@ -16,6 +16,9 @@ package linial
 
 import (
 	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"github.com/unilocal/unilocal/internal/local"
 	"github.com/unilocal/unilocal/internal/mathutil"
@@ -33,8 +36,58 @@ type step struct {
 
 // Schedule returns the deterministic reduction schedule for the guesses and
 // the final palette size. It is a pure function of (deltaHat, mHat), so all
-// nodes compute the same schedule.
+// nodes compute the same schedule; it is computed once per clamped pair of
+// guesses and shared. The returned steps are read-only; they are clipped, so
+// an append by the caller copies instead of overwriting the shared entry.
 func Schedule(deltaHat int, mHat int64) ([]step, int64) {
+	return schedules.get(deltaHat, mHat)
+}
+
+// scheduleCap bounds the number of memoized schedules, so a long-running
+// server sweeping ever new guesses cannot grow the memo without limit.
+// Guesses past the cap are computed on every call and not stored.
+const scheduleCap = 1 << 12
+
+// schedules is the process-wide schedule memo.
+var schedules scheduleMemo
+
+type scheduleKey struct {
+	deltaHat int
+	mHat     int64
+}
+
+type scheduleEntry struct {
+	steps []step
+	final int64
+}
+
+// scheduleMemo maps clamped guesses to their schedule. Entries are never
+// removed or modified, so concurrent readers share them without locking.
+type scheduleMemo struct {
+	entries sync.Map     // scheduleKey -> scheduleEntry
+	size    atomic.Int64 // entries stored or reserved, at most scheduleCap
+}
+
+func (m *scheduleMemo) get(deltaHat int, mHat int64) ([]step, int64) {
+	key := clampGuesses(deltaHat, mHat)
+	if e, ok := m.entries.Load(key); ok {
+		e := e.(scheduleEntry)
+		return e.steps, e.final
+	}
+	steps, final := computeSchedule(key)
+	steps = slices.Clip(steps)
+	if m.size.Add(1) > scheduleCap {
+		m.size.Add(-1) // full: hand out the schedule without storing it
+		return steps, final
+	}
+	if _, loaded := m.entries.LoadOrStore(key, scheduleEntry{steps: steps, final: final}); loaded {
+		m.size.Add(-1) // a concurrent caller stored the same schedule first
+	}
+	return steps, final
+}
+
+// clampGuesses maps the guesses into the domain the schedule is defined on.
+func clampGuesses(deltaHat int, mHat int64) scheduleKey {
 	if deltaHat < 0 {
 		deltaHat = 0
 	}
@@ -44,10 +97,16 @@ func Schedule(deltaHat int, mHat int64) ([]step, int64) {
 	if mHat > maxPalette {
 		mHat = maxPalette
 	}
-	k := mHat
+	return scheduleKey{deltaHat: deltaHat, mHat: mHat}
+}
+
+// computeSchedule builds the schedule for clamped guesses: each step picks
+// the smallest next palette until no step shrinks it.
+func computeSchedule(key scheduleKey) ([]step, int64) {
+	k := key.mHat
 	var steps []step
 	for {
-		q, d, ok := bestStep(deltaHat, k)
+		q, d, ok := bestStep(key.deltaHat, k)
 		if !ok || q*q >= k {
 			return steps, k
 		}

@@ -140,25 +140,22 @@ func (n *batchNode) Output() any { return n.color }
 // to palette [1, Δ̃+1]. Input and output are int colors.
 func ToDeltaPlusOne(k, deltaHat int) local.Algorithm {
 	k, _, deltaHat = clampParams(k, 1, deltaHat)
-	passes := halvingSchedule(k, deltaHat)
-	stages := make([]local.Stage, 0, len(passes))
-	cur := k
-	for _, lambda := range passes {
+	var stages []local.Stage
+	halvingPasses(k, deltaHat, func(cur, lambda int) {
 		stages = append(stages, local.Stage{Algo: Batched(cur, lambda, deltaHat)})
-		cur = BatchedPalette(lambda, deltaHat)
-	}
+	})
 	if len(stages) == 0 {
 		return Batched(k, 1, deltaHat) // already at most Δ̃+1 colors: one tidy pass
 	}
 	return local.Compose(fmt.Sprintf("reduce-to-Δ+1(k=%d,Δ̃=%d)", k, deltaHat), stages...)
 }
 
-// halvingSchedule returns the λ of each Batched pass.
-func halvingSchedule(k, deltaHat int) []int {
-	var passes []int
+// halvingPasses calls pass with the input palette and the λ of each Batched
+// pass in order. It builds no slice, so the round bound allocates nothing.
+func halvingPasses(k, deltaHat int, pass func(cur, lambda int)) {
 	for cur := k; cur > deltaHat+1; {
 		lambda := max(1, mathutil.CeilDiv(cur, 2*(deltaHat+1)))
-		passes = append(passes, lambda)
+		pass(cur, lambda)
 		next := BatchedPalette(lambda, deltaHat)
 		if next >= cur {
 			// No progress is possible only when cur <= 2(Δ̃+1) and λ=1, in
@@ -167,18 +164,15 @@ func halvingSchedule(k, deltaHat int) []int {
 		}
 		cur = next
 	}
-	return passes
 }
 
 // ToDeltaPlusOneRounds bounds the running time of ToDeltaPlusOne(k, Δ̃).
 func ToDeltaPlusOneRounds(k, deltaHat int) int {
 	k, _, deltaHat = clampParams(k, 1, deltaHat)
 	total := 0
-	cur := k
-	for _, lambda := range halvingSchedule(k, deltaHat) {
+	halvingPasses(k, deltaHat, func(cur, lambda int) {
 		total += BatchedRounds(cur, lambda, deltaHat)
-		cur = BatchedPalette(lambda, deltaHat)
-	}
+	})
 	if total == 0 {
 		total = BatchedRounds(k, 1, deltaHat)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/unilocal/unilocal/internal/local"
 	"github.com/unilocal/unilocal/internal/mathutil"
@@ -228,16 +229,38 @@ func UniformColoring(engine ColoringEngine) (local.Algorithm, error) {
 		},
 	}
 
+	relist := &engineTable{build: func(deltaHat int) local.Algorithm {
+		return engine.New(deltaHat, relistM(engine, deltaHat))
+	}}
 	phase2 := local.AlgorithmFunc{
 		AlgoName: "relist(" + engine.Name() + ")",
 		NewNode: func(info local.Info) local.Node {
-			return newPhase2Node(engine, ds, info)
+			return newPhase2Node(engine, ds, relist, info)
 		},
 	}
 	return local.Compose("theorem5("+engine.Name()+")",
 		local.Stage{Algo: phase1WithInput, MakeInput: func(orig, _ any) any { return orig }},
 		local.Stage{Algo: phase2},
 	), nil
+}
+
+// engineTable shares the engine's algorithms among the nodes of a phase.
+// Within a phase the algorithm depends on the degree estimate Δ̂ alone, so
+// it is built once per Δ̂ instead of once per node. Which estimates occur
+// depends on the graph, so entries are built on first use; nodes start their
+// inner runs in parallel, hence the sync.Map. Keys are the layer thresholds
+// D_i (plus deg+1 past the last one), so the table stays small.
+type engineTable struct {
+	build func(deltaHat int) local.Algorithm
+	algos sync.Map // deltaHat int -> local.Algorithm
+}
+
+func (t *engineTable) get(deltaHat int) local.Algorithm {
+	if a, ok := t.algos.Load(deltaHat); ok {
+		return a.(local.Algorithm)
+	}
+	a, _ := t.algos.LoadOrStore(deltaHat, t.build(deltaHat))
+	return a.(local.Algorithm)
 }
 
 // maskKey is exchanged in round 0 of the masked sub-executions.
@@ -249,6 +272,9 @@ type maskKey struct {
 // node's own Δ̂ and the guessed m̃, masked to the same layer instance, then
 // project the color into the list.
 func slcSolver(engine ColoringEngine, mHat int64) local.Algorithm {
+	solvers := &engineTable{build: func(deltaHat int) local.Algorithm {
+		return engine.New(deltaHat, mHat)
+	}}
 	return local.AlgorithmFunc{
 		AlgoName: "slc-solve(" + engine.Name() + ")",
 		NewNode: func(info local.Info) local.Node {
@@ -261,7 +287,7 @@ func slcSolver(engine ColoringEngine, mHat int64) local.Algorithm {
 					if in != nil {
 						dh = in.DeltaHat
 					}
-					return engine.New(dh, mHat).New(local.Info{
+					return solvers.get(dh).New(local.Info{
 						ID: info.ID, Degree: len(ports), Neighbors: ids,
 						Rand: local.DeriveRand(int64(info.Rand.Uint64()), info.ID, 5),
 					})
@@ -299,14 +325,19 @@ func projectSLC(in *SLCInput, out any) any {
 	return problems.SLCColor{C: c, J: 1}
 }
 
+// relistM is the identity bound of phase 2 in the layer with estimate Δ̂:
+// encoded list colors lie in [1, g(Δ̂)·(Δ̂+1)].
+func relistM(engine ColoringEngine, deltaHat int) int64 {
+	return int64(engine.G(deltaHat)) * int64(deltaHat+1)
+}
+
 // newPhase2Node recolors within the layer: the phase-1 list color, encoded
 // as an integer, seeds a fresh engine run with guesses derived from the
-// layer alone; the final color is offset into the layer's private range
-// (g(Δ̂), 2g(Δ̂)].
-func newPhase2Node(engine ColoringEngine, ds []int, info local.Info) local.Node {
+// layer alone (relist holds engine.New(Δ̂, relistM(Δ̂)) per Δ̂); the final
+// color is offset into the layer's private range (g(Δ̂), 2g(Δ̂)].
+func newPhase2Node(engine ColoringEngine, ds []int, relist *engineTable, info local.Info) local.Node {
 	_, deltaHat := layerIndex(ds, info.Degree)
 	gHat := engine.G(deltaHat)
-	mHat := int64(gHat) * int64(deltaHat+1)
 	col, _ := info.Input.(problems.SLCColor)
 	encoded := (col.C-1)*(deltaHat+1) + col.J
 	if encoded < 1 {
@@ -316,7 +347,7 @@ func newPhase2Node(engine ColoringEngine, ds []int, info local.Info) local.Node 
 		info: info,
 		key:  maskKey{deltaHat: deltaHat},
 		makeInner: func(ports []int, ids []int64) local.Node {
-			return engine.New(deltaHat, mHat).New(local.Info{
+			return relist.get(deltaHat).New(local.Info{
 				ID: info.ID, Degree: len(ports), Neighbors: ids,
 				Input: encoded,
 				Rand:  local.DeriveRand(int64(info.Rand.Uint64()), info.ID, 7),

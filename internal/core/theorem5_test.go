@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand/v2"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"github.com/unilocal/unilocal/internal/algorithms/coloralgo"
@@ -107,6 +109,48 @@ func TestTheorem5LambdaColoring(t *testing.T) {
 			}
 		}
 	}
+}
+
+// countingEngine is quadEngine counting the algorithms it builds.
+type countingEngine struct {
+	quadEngine
+	builds *atomic.Int64
+}
+
+func (e countingEngine) New(deltaHat int, mHat int64) local.Algorithm {
+	e.builds.Add(1)
+	return e.quadEngine.New(deltaHat, mHat)
+}
+
+// TestTheorem5BuildsEnginePerEstimate checks that both phases build the
+// engine's algorithm once per degree estimate and guess, not once per node,
+// and that sharing it among parallel workers leaves the output unchanged.
+func TestTheorem5BuildsEnginePerEstimate(t *testing.T) {
+	g, err := graph.RandomRegular(400, 4, 3) // one degree estimate for all nodes
+	if err != nil {
+		t.Fatal(err)
+	}
+	var builds atomic.Int64
+	uniform, err := UniformColoring(countingEngine{builds: &builds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := local.Run(g, uniform, local.Options{Seed: 7, Sequential: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRun := builds.Load()
+	if perRun == 0 || perRun >= int64(g.N())/4 {
+		t.Fatalf("one run built the engine %d times on %d nodes", perRun, g.N())
+	}
+	par, err := local.Run(g, uniform, local.Options{Seed: 7, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seq.Outputs, par.Outputs) || seq.Rounds != par.Rounds {
+		t.Fatal("parallel run differs from the sequential run")
+	}
+	t.Logf("%d builds per run on %d nodes", perRun, g.N())
 }
 
 func TestTheorem5PaletteIsLinearInG(t *testing.T) {
