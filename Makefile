@@ -20,7 +20,8 @@ test: build
 race:
 	$(GO) test -race ./internal/bitset/ ./internal/local/ ./internal/sweep/ \
 		./internal/serve/ ./internal/fabric/ ./internal/job/ \
-		./internal/algorithms/linial/ ./internal/algorithms/arbmis/
+		./internal/algorithms/linial/ ./internal/algorithms/arbmis/ \
+		./internal/algorithms/lift/ ./internal/algorithms/matching/
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/bitset/ ./internal/local/

@@ -2,6 +2,8 @@ package lift
 
 import (
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/unilocal/unilocal/internal/algorithms/colormis"
@@ -30,6 +32,47 @@ func hostSuite(t *testing.T) map[string]*graph.Graph {
 	}
 }
 
+// protocol is a lifted run's host-level footprint. The tables below pin
+// the lifts' host protocol: a lift that sends on a port or in a round the
+// protocol leaves silent changes them.
+type protocol struct {
+	rounds   int
+	messages int64
+}
+
+func checkProtocol(t *testing.T, res *local.Result, want protocol) {
+	t.Helper()
+	if got := (protocol{res.Rounds, res.Messages}); got != want {
+		t.Errorf("lifted run: %d rounds, %d messages; want %d, %d", got.rounds, got.messages, want.rounds, want.messages)
+	}
+}
+
+var lineProtocol = map[string]protocol{
+	"clique": {8, 105}, "cycle": {10, 99}, "gnp": {8, 1071}, "grid": {8, 217},
+	"lonely": {1, 0}, "path": {10, 66}, "star": {8, 18},
+}
+
+// powerProtocol is indexed by k-1.
+var powerProtocol = map[string][3]protocol{
+	"clique": {{17, 505}, {32, 960}, {48, 960}},
+	"cycle":  {{19, 390}, {46, 974}, {69, 1420}},
+	"gnp":    {{62, 18534}, {160, 48543}, {306, 93138}},
+	"grid":   {{24, 1449}, {64, 3833}, {102, 6125}},
+	"lonely": {{9, 0}, {18, 0}, {27, 0}},
+	"path":   {{17, 254}, {34, 529}, {54, 821}},
+	"star":   {{14, 162}, {38, 437}, {54, 540}},
+}
+
+var lineMISProtocol = map[string]protocol{
+	"clique": {150, 2098}, "cycle": {48, 443}, "gnp": {434, 62134}, "grid": {104, 2835},
+	"lonely": {1, 0}, "path": {46, 287}, "star": {88, 18},
+}
+
+var productProtocol = map[string]protocol{
+	"clique": {109, 3270}, "cycle": {47, 1022}, "gnp": {255, 77440}, "grid": {68, 4208},
+	"lonely": {9, 0}, "path": {47, 739}, "star": {140, 1674},
+}
+
 // TestLineLiftMatchesExplicitLineGraph checks the lift's defining property:
 // running a deterministic algorithm through the lift produces exactly the
 // outputs of running it directly on the explicit line graph.
@@ -55,35 +98,41 @@ func TestLineLiftMatchesExplicitLineGraph(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Compare per-edge outputs: the lift reports, at each host node,
-			// the output of each incident edge by port.
-			for i, e := range edges {
-				u := int(e.U)
-				p := -1
-				for q := 0; q < g.Degree(u); q++ {
-					if g.Neighbor(u, q) == int(e.V) {
-						p = q
-						break
-					}
-				}
-				got := lifted.Outputs[u].([]any)[p]
-				want := direct.Outputs[i]
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("edge %v: lifted output %v != direct output %v", e, got, want)
-				}
-			}
-			// Both endpoints must agree on each edge's output.
-			for u := 0; u < g.N(); u++ {
-				outs := lifted.Outputs[u].([]any)
-				for p := 0; p < g.Degree(u); p++ {
-					v := g.Neighbor(u, p)
-					back := g.BackPort(u, p)
-					if !reflect.DeepEqual(outs[p], lifted.Outputs[v].([]any)[back]) {
-						t.Fatalf("endpoints of edge %d-%d disagree", u, v)
-					}
-				}
-			}
+			checkProtocol(t, lifted, lineProtocol[name])
+			checkLineOutputs(t, g, edges, direct, lifted)
 		})
+	}
+}
+
+// checkLineOutputs compares per-edge outputs: the lift reports, at each
+// host node, the output of each incident edge by port.
+func checkLineOutputs(t *testing.T, g *graph.Graph, edges []graph.Edge, direct, lifted *local.Result) {
+	t.Helper()
+	for i, e := range edges {
+		u := int(e.U)
+		p := -1
+		for q := 0; q < g.Degree(u); q++ {
+			if g.Neighbor(u, q) == int(e.V) {
+				p = q
+				break
+			}
+		}
+		got := lifted.Outputs[u].([]any)[p]
+		want := direct.Outputs[i]
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("edge %v: lifted output %v != direct output %v", e, got, want)
+		}
+	}
+	// Both endpoints must agree on each edge's output.
+	for u := 0; u < g.N(); u++ {
+		outs := lifted.Outputs[u].([]any)
+		for p := 0; p < g.Degree(u); p++ {
+			v := g.Neighbor(u, p)
+			back := g.BackPort(u, p)
+			if !reflect.DeepEqual(outs[p], lifted.Outputs[v].([]any)[back]) {
+				t.Fatalf("endpoints of edge %d-%d disagree", u, v)
+			}
+		}
 	}
 }
 
@@ -125,6 +174,7 @@ func TestLineLiftMatching(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkProtocol(t, lifted, lineMISProtocol[name])
 			// Translate per-port MIS bits into matching claims.
 			y := make([]any, g.N())
 			for u := 0; u < g.N(); u++ {
@@ -168,6 +218,7 @@ func TestPowerLiftMatchesExplicitPower(t *testing.T) {
 				if limit := (k+1)*direct.Rounds + 3*k + 4; lifted.Rounds > limit {
 					t.Errorf("k=%d: lifted %d rounds > limit %d (direct %d)", k, lifted.Rounds, limit, direct.Rounds)
 				}
+				checkProtocol(t, lifted, powerProtocol[name][k-1])
 			})
 		}
 	}
@@ -212,13 +263,19 @@ func TestProductLiftMatchesExplicitProduct(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for idx, c := range copies {
-				got := lifted.Outputs[c.V].([]any)[c.I-1]
-				if !reflect.DeepEqual(got, direct.Outputs[idx]) {
-					t.Fatalf("copy %+v: lifted %v != direct %v", c, got, direct.Outputs[idx])
-				}
-			}
+			checkProtocol(t, lifted, productProtocol[name])
+			checkProductOutputs(t, copies, direct, lifted)
 		})
+	}
+}
+
+func checkProductOutputs(t *testing.T, copies []graph.CliqueCopy, direct, lifted *local.Result) {
+	t.Helper()
+	for idx, c := range copies {
+		got := lifted.Outputs[c.V].([]any)[c.I-1]
+		if !reflect.DeepEqual(got, direct.Outputs[idx]) {
+			t.Fatalf("copy %+v: lifted %v != direct %v", c, got, direct.Outputs[idx])
+		}
 	}
 }
 
@@ -258,5 +315,101 @@ func TestProductLiftGivesColoring(t *testing.T) {
 	}
 	if err := problems.ValidColoring(g, colors, g.MaxDegree()+1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// keeper wraps a lift so that its hosts keep every lane region they
+// receive, with a snapshot of its contents taken on receipt.
+type keeper struct {
+	mu   sync.Mutex
+	kept map[*lanes]lanes
+}
+
+func (k *keeper) wrap(a local.Algorithm) local.Algorithm {
+	return local.AlgorithmFunc{
+		AlgoName: a.Name(),
+		NewNode: func(info local.Info) local.Node {
+			return &keeperNode{k: k, inner: a.New(info)}
+		},
+	}
+}
+
+// check fails if a kept region changed after it was received.
+func (k *keeper) check(t *testing.T) {
+	t.Helper()
+	for l, snap := range k.kept {
+		if !reflect.DeepEqual(*l, snap) {
+			t.Fatalf("a received lane region was rewritten: %v, was %v", l.msgs, snap.msgs)
+		}
+	}
+}
+
+type keeperNode struct {
+	k     *keeper
+	inner local.Node
+}
+
+func (n *keeperNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
+	for _, m := range recv {
+		if l, ok := m.(*lanes); ok {
+			n.k.mu.Lock()
+			if _, seen := n.k.kept[l]; !seen {
+				snap := *l
+				snap.msgs = slices.Clone(l.msgs)
+				n.k.kept[l] = snap
+			}
+			n.k.mu.Unlock()
+		}
+	}
+	return n.inner.Round(r, recv)
+}
+
+func (n *keeperNode) Output() any { return n.inner.Output() }
+
+// TestLiftsKeepSentMessages checks the retention contract of local.Node:
+// a receiver may keep the messages it is sent, so a lift must never write
+// a lane again once it is sent. Every host keeps every region it receives,
+// under staggered wake-up (the α-synchronizer buffers a neighbour's early
+// bundles across rounds), a delivery permutation and parallel workers.
+// The kept regions must be unchanged at the end of the run, and the lifted
+// outputs must still be those of the explicit derived graph.
+func TestLiftsKeepSentMessages(t *testing.T) {
+	opts := local.Options{Seed: 3, Workers: 4, Permute: &local.Permute{Seed: 11}, MaxRounds: 1 << 14}
+	for name, g := range hostSuite(t) {
+		t.Run(name, func(t *testing.T) {
+			lg, edges, err := graph.LineGraph(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lineMIS := colormis.New(lg.MaxDegree(), max(lg.MaxIDValue(), 1))
+			direct, err := local.Run(lg, lineMIS, local.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := keeper{kept: map[*lanes]lanes{}}
+			lifted, err := local.Run(g, local.StaggeredWakeup(k.wrap(LineGraph(lineMIS, nil)), 5, 6), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k.check(t)
+			checkLineOutputs(t, g, edges, direct, lifted)
+
+			pg, copies, err := graph.ProductDegPlusOne(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			productMIS := colormis.New(pg.MaxDegree(), pg.MaxIDValue())
+			direct, err = local.Run(pg, productMIS, local.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			k = keeper{kept: map[*lanes]lanes{}}
+			lifted, err = local.Run(g, local.StaggeredWakeup(k.wrap(Product(productMIS)), 5, 6), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k.check(t)
+			checkProductOutputs(t, copies, direct, lifted)
+		})
 	}
 }

@@ -1,6 +1,9 @@
 package lift
 
 import (
+	"cmp"
+	"slices"
+
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/local"
 )
@@ -32,256 +35,212 @@ func edgeID(a, b int64) int64 {
 	return graph.PackIDs(a, b)
 }
 
-// lineItem is one virtual message in flight: from virtual node src to
-// virtual node dst.
-type lineItem struct {
-	src, dst int64
-	payload  local.Message
-}
+// finished is the status slot of a phase-A lane whose edge terminated.
+type finished struct{ out any }
 
-// lineBundle travels one host hop. Direction A: owner → other endpoint
-// (also carrying the owner's owned-edge status flags). Direction B: shared
-// endpoint → owner of the destination edge.
-type lineBundle struct {
-	items []lineItem
-	// doneEdges lists virtual nodes (owned by the sender) that have
-	// terminated, with their final outputs.
-	doneEdges []lineDone
-}
-
-type lineDone struct {
-	edge int64
-	out  any
-}
-
-// lineVirtual is one simulated line-graph node.
-type lineVirtual struct {
-	id    int64   // packed edge identity
-	other int64   // the non-owner endpoint identity
-	nbrs  []int64 // virtual neighbour identities, sorted
-	node  local.Node
-	t     int
-	done  bool
-	out   any
-	inbox []local.Message // by virtual port, for the next virtual round
-}
-
-// step runs one virtual round on the accumulated inbox.
-func (v *lineVirtual) step() []local.Message {
-	inbox := v.inbox
-	v.inbox = make([]local.Message, len(v.nbrs))
-	send, done := v.node.Round(v.t, inbox)
-	v.t++
-	if done {
-		v.done = true
-		v.out = v.node.Output()
-	}
-	return send
-}
-
+// lineNode hosts the edges it owns. A virtual message crosses at most two
+// host edges, each on a lane laid out by one host's incident edges other
+// than the one the lane runs along, in identity order (for edges sharing an
+// endpoint, the order of their other endpoints):
+//
+//   - phase A, region 0, owner u → v over e = (u, v): e's messages to v's
+//     other edges (v, x), laid out by x, then e's status;
+//   - phase B, region 1, v → owner x of (v, x), x < v: the messages from
+//     v's other edges (v, y) to (v, x), laid out by y.
+//
+// Both ends derive every layout from the neighbour lists of round 0.
 type lineNode struct {
 	info     local.Info
 	algo     local.Algorithm
 	inputFn  func(a, b int64) any
 	hostSeed int64
 
-	owned    map[int64]*lineVirtual // edges this host owns
-	edgeDone map[int64]bool         // incident edges that terminated
-	outputs  []any                  // by host port
-	buffered map[int64][]lineItem   // phase-B items to forward, by shared endpoint = me
+	sim      sim
+	port     []int // port[k]: the host port of owned edge k's other endpoint
+	outputs  []any // by host port
+	edgeDone []bool
+	ndone    int
+	send     []local.Message
 }
 
 func (n *lineNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
-	switch {
-	case r == 0:
+	if r == 0 {
 		// Setup: broadcast my incident-edge list (my neighbours' identities).
 		n.outputs = make([]any, n.info.Degree)
-		n.edgeDone = make(map[int64]bool, n.info.Degree)
 		if n.info.Degree == 0 {
 			return nil, true
 		}
 		return local.Broadcast(append([]int64(nil), n.info.Neighbors...), n.info.Degree), false
-	case r == 1:
+	}
+	if r == 1 {
 		n.setup(recv)
-		fallthrough
-	default:
+	} else {
+		for p, m := range recv {
+			if l, ok := m.(*lanes); ok {
+				if f, ok := n.sim.take(p, n.region(p), l).(finished); ok {
+					n.finish(p, f.out)
+				}
+			}
+		}
 	}
-	if (r-1)%2 == 0 {
-		return n.phaseA(r, recv), n.allDone()
+	// Even rounds are phase B, which relays; odd rounds are phase A, which
+	// steps the owned edges.
+	if r%2 == 0 {
+		return n.emit(1), false
 	}
-	return n.phaseB(recv), false
+	n.sim.open()
+	n.sim.stepAll()
+	for k, p := range n.port {
+		if v := &n.sim.vs[k]; v.done && !n.edgeDone[p] {
+			n.finish(p, v.out)
+			n.sim.out[0][n.sim.at.hi[p]-1] = finished{v.out}
+		}
+	}
+	return n.emit(0), n.ndone == n.info.Degree
 }
 
-// setup builds the virtual nodes owned by this host from the neighbour
-// lists received in round 0.
+// region returns the region of port p's lanes: 0 if I own the edge.
+func (n *lineNode) region(p int) int {
+	if n.info.ID < n.info.Neighbors[p] {
+		return 0
+	}
+	return 1
+}
+
+// setup builds the owned edges and the routes from the neighbour lists.
 func (n *lineNode) setup(recv []local.Message) {
-	me := n.info.ID
-	n.owned = make(map[int64]*lineVirtual)
-	n.buffered = make(map[int64][]lineItem)
-	for p, other := range n.info.Neighbors {
-		if me > other {
-			continue // the smaller endpoint owns the edge
+	me, nb := n.info.ID, n.info.Neighbors
+	deg := len(nb)
+	n.edgeDone = make([]bool, deg)
+	n.send = make([]local.Message, deg)
+	// mine lists my ports in identity order; rank inverts it. other(p, i)
+	// is the i-th of my edges but p; excl(p, q) is the position of p among
+	// my edges but q.
+	mine := make([]int32, deg)
+	for p := range mine {
+		mine[p] = int32(p)
+	}
+	slices.SortFunc(mine, func(a, b int32) int { return cmp.Compare(nb[a], nb[b]) })
+	rank := make([]int32, deg)
+	for i, p := range mine {
+		rank[p] = int32(i)
+	}
+	other := func(p, i int32) int32 {
+		if i >= rank[p] {
+			i++
 		}
-		otherList, _ := recv[p].([]int64)
-		v := &lineVirtual{id: edgeID(me, other), other: other}
-		for _, w := range n.info.Neighbors {
-			if w != other {
-				v.nbrs = append(v.nbrs, edgeID(me, w))
+		return mine[i]
+	}
+	excl := func(p, q int32) int32 {
+		if rank[q] < rank[p] {
+			return rank[p] - 1
+		}
+		return rank[p]
+	}
+
+	// far[p]: for an owned edge, its other endpoint's neighbours but me, in
+	// identity order. owned[p] is the edge's index, -1 if not mine.
+	far := make([][]int64, deg)
+	owned := make([]int32, deg)
+	slots := 0
+	n.sim.wire(me, recv, func(p int, list []int64) (int, int) {
+		owned[p] = -1
+		if nb[p] < me {
+			return 1, deg - 1
+		}
+		f := make([]int64, 0, len(list)-1)
+		for _, x := range list {
+			if x != me {
+				f = append(f, x)
 			}
 		}
-		for _, w := range otherList {
-			if w != me {
-				v.nbrs = append(v.nbrs, edgeID(other, w))
+		slices.Sort(f)
+		far[p] = f
+		owned[p] = int32(len(n.port))
+		n.port = append(n.port, p)
+		slots += deg - 1 + len(f)
+		return 0, len(f)
+	})
+	n.sim.reserve(len(n.port), slots)
+
+	// Owned edge k's ports merge my other edges with far[port[k]]; mineSlot
+	// records where my edges landed, for the routes between my edges.
+	ids := make([]int64, slots)
+	mineSlot := make([]int32, len(n.port)*deg)
+	s := 0
+	for k, p := range n.port {
+		v, f, base := nb[p], far[p], s
+		for i, j := int32(0), 0; int(i)+j < deg-1+len(f); s++ {
+			if j == len(f) || int(i) < deg-1 && edgeID(me, nb[other(int32(p), i)]) < edgeID(v, f[j]) {
+				q := other(int32(p), i)
+				ids[s] = edgeID(me, nb[q])
+				mineSlot[k*deg+int(q)] = int32(s)
+				i++
+			} else {
+				ids[s] = edgeID(v, f[j])
+				pos := n.sim.at.lo[p] + int32(j)
+				n.sim.route[s] = lanePos(0, pos)
+				n.sim.in[0][pos] = int32(s)
+				j++
 			}
 		}
-		sortIDs(v.nbrs)
-		var input any = v.id
+		id := edgeID(me, v)
+		var input any = id
 		if n.inputFn != nil {
-			input = n.inputFn(me, other)
+			input = n.inputFn(me, v)
 		}
-		info := local.Info{
-			ID:        v.id,
-			Degree:    len(v.nbrs),
-			Neighbors: append([]int64(nil), v.nbrs...),
-			Input:     input,
-			Rand:      childRand(n.hostSeed, v.id),
-		}
-		v.node = n.algo.New(info)
-		v.inbox = make([]local.Message, len(v.nbrs))
-		n.owned[v.id] = v
+		n.sim.add(n.algo, id, ids[base:s:s], input, childRand(n.hostSeed, id))
 	}
-}
 
-// phaseA ingests phase-B deliveries, runs one virtual round on every live
-// owned edge and emits bundles toward the shared endpoints.
-func (n *lineNode) phaseA(r int, recv []local.Message) []local.Message {
-	if r > 1 {
-		n.ingest(recv)
-	}
-	outgoing := make(map[int64][]lineItem) // by endpoint identity to route via
-	doneByOther := make(map[int64][]lineDone)
-	for _, v := range n.owned {
-		if v.done {
-			continue
+	// target is where a message from my edge on port src to my edge on port
+	// dst goes: into dst's inbox if I own it, else onto dst's phase-B lane.
+	target := func(src, dst int32) int32 {
+		if k := owned[dst]; k >= 0 {
+			return mineSlot[int(k)*deg+int(src)]
 		}
-		send := v.step()
-		for q, msg := range send {
-			if msg == nil {
-				continue
-			}
-			dst := v.nbrs[q]
-			// The shared endpoint of v.id and dst is the endpoint of v that
-			// is also an endpoint of dst.
-			a, b := graph.UnpackIDs(dst)
-			var via int64
-			if a == n.info.ID || b == n.info.ID {
-				via = n.info.ID
+		return lanePos(1, n.sim.at.lo[dst]+excl(src, dst))
+	}
+	for p := range int32(deg) {
+		for i := range int32(deg - 1) {
+			q := other(p, i)
+			if k := owned[p]; k >= 0 {
+				n.sim.route[mineSlot[int(k)*deg+int(q)]] = target(p, q)
 			} else {
-				via = v.other
-			}
-			item := lineItem{src: v.id, dst: dst, payload: msg}
-			if via == n.info.ID {
-				n.buffered[via] = append(n.buffered[via], item)
-			} else {
-				outgoing[via] = append(outgoing[via], item)
-			}
-		}
-		if v.done {
-			// Announce termination with the final output to both endpoints.
-			out := lineDone{edge: v.id, out: v.out}
-			n.recordDone(out)
-			doneByOther[v.other] = append(doneByOther[v.other], out)
-		}
-	}
-	send := make([]local.Message, n.info.Degree)
-	for p, other := range n.info.Neighbors {
-		items := outgoing[other]
-		dones := doneByOther[other]
-		if len(items) > 0 || len(dones) > 0 {
-			send[p] = lineBundle{items: items, doneEdges: dones}
-		}
-	}
-	return send
-}
-
-// phaseB forwards buffered items to the owners of their destination edges
-// and delivers locally owned destinations.
-func (n *lineNode) phaseB(recv []local.Message) []local.Message {
-	for _, m := range recv {
-		if b, ok := m.(lineBundle); ok {
-			n.buffered[n.info.ID] = append(n.buffered[n.info.ID], b.items...)
-			for _, d := range b.doneEdges {
-				n.recordDone(d)
+				// The phase-A lane from the owner of p is laid out by my
+				// other edges.
+				n.sim.in[1][n.sim.at.lo[p]+i] = target(p, q)
 			}
 		}
 	}
-	outgoing := make(map[int64][]lineItem)
-	for _, item := range n.buffered[n.info.ID] {
-		owner, _ := graph.UnpackIDs(item.dst) // the smaller endpoint owns
-		if owner == n.info.ID {
-			n.deliver(item)
-			continue
-		}
-		// I am the other endpoint of dst, so its owner is my host neighbour.
-		outgoing[owner] = append(outgoing[owner], item)
-	}
-	delete(n.buffered, n.info.ID)
-	send := make([]local.Message, n.info.Degree)
-	for p, other := range n.info.Neighbors {
-		if items := outgoing[other]; len(items) > 0 {
-			send[p] = lineBundle{items: items}
-		}
-	}
-	return send
 }
 
-// deliver places an item into the inbox of a locally owned virtual node.
-func (n *lineNode) deliver(item lineItem) {
-	v := n.owned[item.dst]
-	if v == nil || v.done {
-		return
-	}
-	if q := portOf(v.nbrs, item.src); q >= 0 {
-		v.inbox[q] = item.payload
-	}
-}
-
-// ingest consumes phase-B deliveries addressed to owned edges.
-func (n *lineNode) ingest(recv []local.Message) {
-	for _, m := range recv {
-		b, ok := m.(lineBundle)
-		if !ok {
-			continue
-		}
-		for _, item := range b.items {
-			n.deliver(item)
-		}
-		for _, d := range b.doneEdges {
-			n.recordDone(d)
+// emit ships region r to the ports of the region whose lane carries
+// anything.
+func (n *lineNode) emit(r int) []local.Message {
+	var l *lanes
+	for p := range n.send {
+		n.send[p] = nil
+		if n.region(p) == r && n.sim.says(r, p) {
+			if l == nil {
+				l = new(lanes)
+			}
+			n.send[p] = l
 		}
 	}
+	if l == nil {
+		return nil
+	}
+	n.sim.ship(r, l)
+	return n.send
 }
 
-// recordDone marks an incident edge as finished and stores its output under
-// the matching host port.
-func (n *lineNode) recordDone(d lineDone) {
-	if n.edgeDone[d.edge] {
-		return
+// finish records that the edge on port p terminated with output out.
+func (n *lineNode) finish(p int, out any) {
+	if !n.edgeDone[p] {
+		n.edgeDone[p] = true
+		n.ndone++
+		n.outputs[p] = out
 	}
-	n.edgeDone[d.edge] = true
-	a, b := graph.UnpackIDs(d.edge)
-	other := a
-	if a == n.info.ID {
-		other = b
-	}
-	if p := n.info.NeighborPort(other); p >= 0 {
-		n.outputs[p] = d.out
-	}
-}
-
-// allDone reports whether every incident edge has terminated.
-func (n *lineNode) allDone() bool {
-	return len(n.edgeDone) == n.info.Degree
 }
 
 func (n *lineNode) Output() any { return n.outputs }

@@ -2,6 +2,8 @@ package lift
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"github.com/unilocal/unilocal/internal/local"
 )
@@ -30,14 +32,14 @@ type powerFlood struct {
 	records []powerRecord
 }
 
-// powerRecord is one node's contribution to the current flood wave.
+// powerRecord is one node's contribution to the current flood wave: msgs[q]
+// is its message to dsts[q], its ball in identity order (nil = silence).
 type powerRecord struct {
 	src  int64
 	hops int // remaining hop budget
-	// payload maps destination identity to message; absent keys mean no
-	// message for that destination.
-	payload map[int64]local.Message
-	done    bool
+	dsts []int64
+	msgs []local.Message
+	done bool
 }
 
 type powerNode struct {
@@ -45,66 +47,70 @@ type powerNode struct {
 	k    int
 	algo local.Algorithm
 
-	ball    []int64 // identities within distance k, sorted (virtual ports)
-	sim     local.Node
-	t       int // virtual round counter
-	simDone bool
-	out     any
+	// sim holds the one simulated node, whose ports are the ball: the
+	// identities within distance k, sorted. known collects them during
+	// discovery.
+	sim   sim
+	known map[int64]bool
 
-	// seenWave tracks which sources' records were already forwarded in the
-	// current virtual round; inbox accumulates deliveries for the next
-	// virtual round; doneNbrs tracks terminated ball members.
-	seenWave map[int64]bool
-	inbox    map[int64]local.Message
-	doneNbrs map[int64]bool
+	// wave numbers this node's flood waves; seen[q] is the last wave in
+	// which ball member q's record was forwarded, and doneNbrs[q] reports
+	// that q terminated. relay collects the records to forward; what is
+	// sent is a copy.
+	wave     int
+	seen     []int
+	doneNbrs []bool
+	relay    []powerRecord
+	send     []local.Message
 }
 
 func (n *powerNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
-	if r < n.k {
-		return n.discover(r, recv), false
-	}
-	if r == n.k {
-		n.finishDiscovery(recv)
+	if r <= n.k {
+		if send := n.discover(r, recv); r < n.k {
+			return send, false
+		}
 	}
 	phase := (r - n.k) % n.k
+	relay := n.receive(recv)
+	var send []local.Message
 	if phase == 0 {
-		if r > n.k {
-			n.harvest(recv)
-		}
-		send := n.stepAndFlood()
-		// With k = 1 there are no forwarding phases; a node may stop once it
-		// and its whole ball have terminated (its own done flag was flooded
-		// the moment it terminated).
-		done := n.k == 1 && n.simDone && n.allNeighborsDone()
-		return send, done
+		send = n.stepAndFlood()
+	} else if len(relay) > 0 {
+		send = n.flood(slices.Clone(relay))
 	}
-	send := n.forward(recv)
-	if phase == n.k-1 && n.simDone && n.allNeighborsDone() {
-		// Termination is only safe on a phase boundary, after this node's
-		// final flood has fully propagated through the ball.
-		return send, true
-	}
-	return send, false
+	clear(relay) // keep no other node's record alive
+	// Termination is only safe on a phase boundary, after this node's final
+	// flood has fully propagated through the ball (with k = 1 every round
+	// is one: its own done flag was flooded the moment it terminated).
+	return send, phase == n.k-1 && n.sim.vs[0].done && !slices.Contains(n.doneNbrs, false)
 }
 
-// discover floods identity lists for k rounds to learn the ball.
+// discover floods identity lists for k rounds to learn the ball, then
+// instantiates the simulated node on it.
 func (n *powerNode) discover(r int, recv []local.Message) []local.Message {
-	if r == 0 {
-		n.seenWave = map[int64]bool{n.info.ID: true}
-		return local.Broadcast([]int64{n.info.ID}, n.info.Degree)
-	}
 	var fresh []int64
+	if r == 0 {
+		n.known = map[int64]bool{n.info.ID: true}
+		fresh = []int64{n.info.ID}
+	}
 	for _, m := range recv {
-		ids, ok := m.([]int64)
-		if !ok {
-			continue
-		}
+		ids, _ := m.([]int64)
 		for _, id := range ids {
-			if !n.seenWave[id] {
-				n.seenWave[id] = true
+			if !n.known[id] {
+				n.known[id] = true
 				fresh = append(fresh, id)
 			}
 		}
+	}
+	if r == n.k {
+		delete(n.known, n.info.ID)
+		ball := slices.Sorted(maps.Keys(n.known))
+		n.known = nil
+		n.sim.add(n.algo, n.info.ID, ball, n.info.Input, n.info.Rand)
+		n.seen = make([]int, len(ball))
+		n.doneNbrs = make([]bool, len(ball))
+		n.send = make([]local.Message, n.info.Degree)
+		return nil
 	}
 	if len(fresh) == 0 {
 		return nil
@@ -112,127 +118,57 @@ func (n *powerNode) discover(r int, recv []local.Message) []local.Message {
 	return local.Broadcast(fresh, n.info.Degree)
 }
 
-// finishDiscovery ingests the final discovery wave and instantiates the
-// simulated node on the ball.
-func (n *powerNode) finishDiscovery(recv []local.Message) {
-	for _, m := range recv {
-		if ids, ok := m.([]int64); ok {
-			for _, id := range ids {
-				n.seenWave[id] = true
-			}
-		}
+// flood sends records on every port.
+func (n *powerNode) flood(records []powerRecord) []local.Message {
+	var m local.Message = powerFlood{records: records}
+	for p := range n.send {
+		n.send[p] = m
 	}
-	for id := range n.seenWave {
-		if id != n.info.ID {
-			n.ball = append(n.ball, id)
-		}
-	}
-	sortIDs(n.ball)
-	info := local.Info{
-		ID:        n.info.ID,
-		Degree:    len(n.ball),
-		Neighbors: append([]int64(nil), n.ball...),
-		Input:     n.info.Input,
-		Rand:      n.info.Rand,
-	}
-	n.sim = n.algo.New(info)
-	n.inbox = make(map[int64]local.Message)
-	n.doneNbrs = make(map[int64]bool)
+	return n.send
 }
 
 // stepAndFlood runs one virtual round and starts this node's flood wave.
 func (n *powerNode) stepAndFlood() []local.Message {
-	n.seenWave = map[int64]bool{n.info.ID: true}
-	var rec powerRecord
-	if !n.simDone {
-		inbox := make([]local.Message, len(n.ball))
-		for q, id := range n.ball {
-			inbox[q] = n.inbox[id]
+	n.wave++
+	v := &n.sim.vs[0]
+	rec := powerRecord{src: n.info.ID, hops: n.k - 1, done: true}
+	if !v.done {
+		// The record outlives this round, so it takes a copy of the borrowed
+		// send slice.
+		if send := n.sim.step(0); len(send) > 0 {
+			rec.dsts, rec.msgs = v.nbrs, slices.Clone(send)
 		}
-		clear(n.inbox)
-		send, done := n.sim.Round(n.t, inbox)
-		n.t++
-		rec = powerRecord{src: n.info.ID, hops: n.k - 1}
-		if len(send) > 0 {
-			rec.payload = make(map[int64]local.Message, len(send))
-			for q, msg := range send {
-				if msg != nil {
-					rec.payload[n.ball[q]] = msg
-				}
-			}
-		}
-		if done {
-			n.simDone = true
-			n.out = n.sim.Output()
-			rec.done = true
-		}
-	} else {
-		rec = powerRecord{src: n.info.ID, hops: n.k - 1, done: true}
+		rec.done = v.done
 	}
-	return local.Broadcast(powerFlood{records: []powerRecord{rec}}, n.info.Degree)
+	return n.flood([]powerRecord{rec})
 }
 
-// forward relays unseen records with decremented hop budgets and extracts
-// deliveries addressed to this node.
-func (n *powerNode) forward(recv []local.Message) []local.Message {
-	var relay []powerRecord
+// receive extracts the deliveries and done flags addressed to this node
+// and returns the records to relay: those first seen in this wave, with
+// hop budget left, decremented.
+func (n *powerNode) receive(recv []local.Message) []powerRecord {
+	n.relay = n.relay[:0]
 	for _, m := range recv {
-		f, ok := m.(powerFlood)
-		if !ok {
-			continue
-		}
+		f, _ := m.(powerFlood)
 		for _, rec := range f.records {
-			n.extract(rec)
-			if !n.seenWave[rec.src] {
-				n.seenWave[rec.src] = true
-				if rec.hops > 0 {
-					fwd := rec
-					fwd.hops--
-					relay = append(relay, fwd)
-				}
+			q, ok := slices.BinarySearch(n.sim.vs[0].nbrs, rec.src)
+			if !ok {
+				continue // this node's own record
 			}
-		}
-	}
-	if len(relay) == 0 {
-		return nil
-	}
-	return local.Broadcast(powerFlood{records: relay}, n.info.Degree)
-}
-
-// harvest ingests the final wave of the previous virtual round.
-func (n *powerNode) harvest(recv []local.Message) {
-	for _, m := range recv {
-		if f, ok := m.(powerFlood); ok {
-			for _, rec := range f.records {
-				n.extract(rec)
+			n.doneNbrs[q] = n.doneNbrs[q] || rec.done
+			if i, ok := slices.BinarySearch(rec.dsts, n.info.ID); ok && rec.msgs[i] != nil {
+				n.sim.inbox[q] = rec.msgs[i]
 			}
+			if n.seen[q] != n.wave && rec.hops > 0 {
+				rec.hops--
+				n.relay = append(n.relay, rec)
+			}
+			n.seen[q] = n.wave
 		}
 	}
+	return n.relay
 }
 
-// extract records deliveries and done flags addressed to this node.
-func (n *powerNode) extract(rec powerRecord) {
-	if rec.src == n.info.ID {
-		return
-	}
-	if rec.done {
-		n.doneNbrs[rec.src] = true
-	}
-	if msg, ok := rec.payload[n.info.ID]; ok && msg != nil {
-		n.inbox[rec.src] = msg
-	}
-}
-
-// allNeighborsDone reports whether every ball member has terminated.
-func (n *powerNode) allNeighborsDone() bool {
-	for _, id := range n.ball {
-		if !n.doneNbrs[id] {
-			return false
-		}
-	}
-	return true
-}
-
-func (n *powerNode) Output() any { return n.out }
+func (n *powerNode) Output() any { return n.sim.vs[0].out }
 
 var _ local.Node = (*powerNode)(nil)

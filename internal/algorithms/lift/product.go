@@ -1,6 +1,9 @@
 package lift
 
 import (
+	"cmp"
+	"slices"
+
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/local"
 )
@@ -24,204 +27,136 @@ func Product(algo local.Algorithm) local.Algorithm {
 	}
 }
 
-// productBundle carries, for one host edge (u, v), the messages of all
-// copies u_i to their counterparts v_i, plus termination flags.
-type productBundle struct {
-	// byCopy[i-1] is the message from copy i of the sender to copy i of the
-	// receiver (nil = silence).
-	byCopy []local.Message
-	// doneAll reports that every copy of the sender has terminated.
-	doneAll bool
-}
-
-// productVirtual is one simulated copy.
-type productVirtual struct {
-	copyIdx int // 1-based copy index
-	node    local.Node
-	nbrs    []int64 // virtual neighbour identities, sorted
-	inbox   []local.Message
-	t       int
-	done    bool
-	out     any
-}
-
+// productNode hosts copies 1..deg+1 (virtual node k is copy k+1). Every
+// round it ships its one lane region to every neighbour: position i-1 of
+// the lane for neighbour v carries copy i's message to v's copy i, for
+// i <= 1+min(deg u, deg v), and the status slot reports that every copy of
+// the sender has terminated.
 type productNode struct {
 	info     local.Info
 	algo     local.Algorithm
 	hostSeed int64
 
-	copies   []*productVirtual
-	crossLim []int // crossLim[p] = 1+min(deg, deg of neighbour p)
-	nbrDone  []bool
+	sim     sim
+	nbrDone []bool
+	send    []local.Message
 }
+
+// allDone is the status slot of a host whose copies have all terminated.
+var allDone local.Message = struct{}{}
 
 func (n *productNode) Round(r int, recv []local.Message) ([]local.Message, bool) {
 	if r == 0 {
-		return local.Broadcast(n.info.Degree, n.info.Degree), false
+		// Setup: broadcast my neighbour list, which gives my degree too.
+		return local.Broadcast(append([]int64(nil), n.info.Neighbors...), n.info.Degree), false
 	}
 	if r == 1 {
 		n.setup(recv)
 	} else {
-		n.ingest(recv)
+		for p, m := range recv {
+			if l, ok := m.(*lanes); ok && n.sim.take(p, 0, l) != nil {
+				n.nbrDone[p] = true
+			}
+		}
 	}
-	return n.stepAll()
+	n.sim.open()
+	n.sim.stepAll()
+	done := !slices.ContainsFunc(n.sim.vs, func(v vnode) bool { return !v.done })
+	// Once every copy has terminated, keep pulsing the status until the
+	// neighbourhood has finished, so late neighbours still learn it.
+	finished := done && !slices.Contains(n.nbrDone, false)
+	if len(n.send) == 0 {
+		return nil, finished
+	}
+	l := new(lanes)
+	for p := range n.send {
+		if done {
+			n.sim.out[0][n.sim.at.hi[p]-1] = allDone
+		}
+		n.send[p] = l
+	}
+	n.sim.ship(0, l)
+	return n.send, finished
 }
 
-// setup exchanges degrees and instantiates the copies.
+// setup instantiates the copies and their routes. Copy i's ports are its
+// cross neighbours below my identity, then its siblings in copy order, then
+// its cross neighbours above, which is identity order.
 func (n *productNode) setup(recv []local.Message) {
-	deg := n.info.Degree
-	n.crossLim = make([]int, deg)
+	me, nb := n.info.ID, n.info.Neighbors
+	deg := len(nb)
 	n.nbrDone = make([]bool, deg)
-	for p := 0; p < deg; p++ {
-		nbDeg, _ := recv[p].(int)
-		n.crossLim[p] = min(deg, nbDeg) + 1
+	n.send = make([]local.Message, deg)
+	n.sim.wire(me, recv, func(_ int, list []int64) (int, int) { return 0, min(deg, len(list)) + 1 })
+	order := make([]int32, deg) // ports in identity order
+	for p := range order {
+		order[p] = int32(p)
 	}
-	n.copies = make([]*productVirtual, deg+1)
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(nb[a], nb[b]) })
+	cross := func(p int32, i int) bool { return int32(i) < n.sim.at.hi[p]-n.sim.at.lo[p] }
+
+	// below[i-1] counts copy i's cross neighbours below me.
+	below := make([]int32, deg+1)
+	slots := 0
 	for i := 1; i <= deg+1; i++ {
-		v := &productVirtual{copyIdx: i}
-		// Clique siblings.
+		for _, p := range order {
+			if cross(p, i) {
+				slots++
+				if nb[p] < me {
+					below[i-1]++
+				}
+			}
+		}
+		slots += deg
+	}
+	n.sim.reserve(deg+1, slots)
+	ids := make([]int64, slots)
+	s := 0
+	for i := 1; i <= deg+1; i++ {
+		base := s
+		addCross := func(low bool) {
+			for _, p := range order {
+				if (nb[p] < me) == low && cross(p, i) {
+					ids[s] = graph.PackIDs(nb[p], int64(i))
+					pos := n.sim.at.lo[p] + int32(i-1)
+					n.sim.route[s] = lanePos(0, pos)
+					n.sim.in[0][pos] = int32(s)
+					s++
+				}
+			}
+		}
+		addCross(true)
 		for j := 1; j <= deg+1; j++ {
 			if j != i {
-				v.nbrs = append(v.nbrs, graph.PackIDs(n.info.ID, int64(j)))
+				ids[s] = graph.PackIDs(me, int64(j))
+				s++
 			}
 		}
-		// Cross neighbours.
-		for p := 0; p < deg; p++ {
-			if i <= n.crossLim[p] {
-				v.nbrs = append(v.nbrs, graph.PackIDs(n.info.Neighbors[p], int64(i)))
-			}
-		}
-		sortIDs(v.nbrs)
-		vid := graph.PackIDs(n.info.ID, int64(i))
-		info := local.Info{
-			ID:        vid,
-			Degree:    len(v.nbrs),
-			Neighbors: append([]int64(nil), v.nbrs...),
-			Input:     n.info.Input,
-			Rand:      childRand(n.hostSeed, vid),
-		}
-		v.node = n.algo.New(info)
-		v.inbox = make([]local.Message, len(v.nbrs))
-		n.copies[i-1] = v
+		addCross(false)
+		vid := graph.PackIDs(me, int64(i))
+		n.sim.add(n.algo, vid, ids[base:s:s], n.info.Input, childRand(n.hostSeed, vid))
 	}
-}
-
-// ingest distributes received cross messages into copy inboxes.
-func (n *productNode) ingest(recv []local.Message) {
-	for p, m := range recv {
-		b, ok := m.(productBundle)
-		if !ok {
-			continue
+	// sibling is the inbox slot of copy i among copy j's ports.
+	sibling := func(i, j int) int32 {
+		pos := i - 1
+		if i > j {
+			pos--
 		}
-		if b.doneAll {
-			n.nbrDone[p] = true
-		}
-		for idx, msg := range b.byCopy {
-			i := idx + 1
-			if msg == nil || i > len(n.copies) {
-				continue
-			}
-			v := n.copies[i-1]
-			if v.done {
-				continue
-			}
-			src := graph.PackIDs(n.info.Neighbors[p], int64(i))
-			if q := portOf(v.nbrs, src); q >= 0 {
-				v.inbox[q] = msg
+		return int32(n.sim.vs[j-1].off) + below[j-1] + int32(pos)
+	}
+	for i := 1; i <= deg+1; i++ {
+		for j := 1; j <= deg+1; j++ {
+			if j != i {
+				n.sim.route[sibling(j, i)] = sibling(i, j)
 			}
 		}
 	}
-}
-
-// stepAll advances every live copy one virtual round, delivering clique
-// messages locally (with the mandatory one-round delay) and bundling cross
-// messages per host edge.
-func (n *productNode) stepAll() ([]local.Message, bool) {
-	deg := n.info.Degree
-	cross := make([][]local.Message, deg) // cross[p][i-1]
-	for p := 0; p < deg; p++ {
-		cross[p] = make([]local.Message, deg+1)
-	}
-	// Collect clique deliveries for the NEXT round before overwriting
-	// inboxes: snapshot sends first.
-	type sendRec struct {
-		v    *productVirtual
-		send []local.Message
-	}
-	sends := make([]sendRec, 0, len(n.copies))
-	for _, v := range n.copies {
-		if v.done {
-			continue
-		}
-		inbox := v.inbox
-		v.inbox = make([]local.Message, len(v.nbrs))
-		send, done := v.node.Round(v.t, inbox)
-		v.t++
-		if done {
-			v.done = true
-			v.out = v.node.Output()
-		}
-		sends = append(sends, sendRec{v: v, send: send})
-	}
-	for _, sr := range sends {
-		for q, msg := range sr.send {
-			if msg == nil {
-				continue
-			}
-			dst := sr.v.nbrs[q]
-			a, b := graph.UnpackIDs(dst)
-			if a == n.info.ID {
-				// Clique sibling: local delivery into next-round inbox.
-				sibling := n.copies[int(b)-1]
-				if !sibling.done {
-					src := graph.PackIDs(n.info.ID, int64(sr.v.copyIdx))
-					if q2 := portOf(sibling.nbrs, src); q2 >= 0 {
-						sibling.inbox[q2] = msg
-					}
-				}
-				continue
-			}
-			if p := n.info.NeighborPort(a); p >= 0 {
-				cross[p][sr.v.copyIdx-1] = msg
-			}
-		}
-	}
-	allDone := true
-	for _, v := range n.copies {
-		if !v.done {
-			allDone = false
-			break
-		}
-	}
-	send := make([]local.Message, deg)
-	for p := 0; p < deg; p++ {
-		bundle := productBundle{byCopy: cross[p], doneAll: allDone}
-		send[p] = bundle
-	}
-	if allDone && n.allNbrsDone() {
-		return send, true
-	}
-	if allDone {
-		// Keep pulsing the done flag until the neighbourhood has finished,
-		// so late neighbours still learn it.
-		return send, false
-	}
-	return send, false
-}
-
-func (n *productNode) allNbrsDone() bool {
-	for _, d := range n.nbrDone {
-		if !d {
-			return false
-		}
-	}
-	return true
 }
 
 // Output returns the outputs of copies 1..deg+1.
 func (n *productNode) Output() any {
-	outs := make([]any, len(n.copies))
-	for i, v := range n.copies {
+	outs := make([]any, len(n.sim.vs))
+	for i, v := range n.sim.vs {
 		outs[i] = v.out
 	}
 	return outs
