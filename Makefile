@@ -1,6 +1,7 @@
-# Build/test/bench entry points, including the PGO workflow from ISSUE 10:
+# Build/test/bench entry points, including the PGO workflow:
 # `make pgo` regenerates the committed default.pgo profile from the
-# representative localbench sweep and distributes it into every cmd/* main
+# localbench run of the paper corpus (scenarios/paper, the same batch
+# BENCH.json measures) and distributes it into every cmd/* main
 # package (the Go toolchain auto-applies a default.pgo only when it sits in
 # the main package's own directory), and `make verify-pgo` proves the
 # committed profile is loadable and actually applied by a plain `go build`
@@ -26,8 +27,9 @@ race:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/bitset/ ./internal/local/
 
-# Regenerate default.pgo: run the full experiment sweep $(PGO_ITERS) times
-# under one CPU profile, then copy the profile next to each main package.
+# Regenerate default.pgo: run the paper corpus (localbench's default
+# scenarios/paper batch) $(PGO_ITERS) times under one CPU profile, then copy
+# the profile next to each main package.
 # The root default.pgo is the canonical artifact; the cmd/*/default.pgo
 # copies are what `go build ./...` picks up per binary.
 pgo:
@@ -38,7 +40,8 @@ pgo:
 # main package must record a `-pgo=<path>/default.pgo` build setting in
 # `go version -m`, and a `-pgo=off` build of the same package must not
 # record any -pgo setting. A corrupt or missing profile fails the first
-# build or the first grep.
+# build or the first grep. Which batch the profile was recorded from (the
+# paper corpus, under `make pgo`) is not checked here.
 verify-pgo:
 	@test -f cmd/localbench/default.pgo || { echo "verify-pgo: cmd/localbench/default.pgo missing (run make pgo)"; exit 1; }
 	@tmp=$$(mktemp -d) && \

@@ -1,16 +1,19 @@
 package unilocal
 
-// One benchmark per experiment of DESIGN.md §3: each regenerates the
-// measured counterpart of a Table 1 row, a corollary, or Figure 1 of the
-// paper. The reported custom metrics are the LOCAL-model quantities the
-// paper reasons about: "rounds" (the running time of the algorithm on that
-// instance) and, where relevant, "ratio" (uniform rounds / non-uniform
-// rounds with correct guesses — the paper's headline "same asymptotic
-// running time" claim corresponds to this ratio staying bounded as n
-// grows). Wall-clock ns/op only measures the simulator.
+// The experiments of DESIGN.md §3 that cmd/localbench tables are specs in
+// scenarios/paper, benchmarked by BenchmarkPaper through the same
+// serve.Execute path; the functions below cover the rest (edge colouring,
+// Figure 1, Theorem 2, the ablations) and the engine and sweep layers. The
+// reported custom metrics are the LOCAL-model quantities the paper reasons
+// about: "rounds" (the running time of the algorithm on that instance) and,
+// where relevant, "ratio" (uniform rounds / non-uniform rounds with correct
+// guesses — the paper's headline "same asymptotic running time" claim
+// corresponds to this ratio staying bounded as n grows). Wall-clock ns/op
+// only measures the simulator.
 
 import (
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -20,6 +23,8 @@ import (
 	"github.com/unilocal/unilocal/internal/graph"
 	"github.com/unilocal/unilocal/internal/local"
 	"github.com/unilocal/unilocal/internal/problems"
+	"github.com/unilocal/unilocal/internal/scenario"
+	"github.com/unilocal/unilocal/internal/serve"
 	"github.com/unilocal/unilocal/internal/sweep"
 )
 
@@ -102,72 +107,35 @@ func misCheck(g *graph.Graph) func([]any) error {
 	}
 }
 
-// BenchmarkTable1_MISColoring_DeltaLogStar reproduces the "Det. MIS and
-// (Δ+1)-coloring, O(Δ + log* n)" row (E1): colormis with correct {Δ, m}
-// versus the Theorem 1 uniform algorithm.
-func BenchmarkTable1_MISColoring_DeltaLogStar(b *testing.B) {
-	uniform := engines.UniformMISDelta()
-	for _, n := range []int{256, 1024, 4096} {
-		for _, fam := range []struct {
-			name string
-			g    *graph.Graph
-		}{
-			{"cycle", benchCycle(b, n)},
-			{"regular4", benchRegular(b, n, 4)},
-			{"gnp8", benchGNP(b, n, 8)},
-		} {
-			b.Run(fmt.Sprintf("%s/n=%d", fam.name, n), func(b *testing.B) {
-				compare(b, fam.g, engines.NonUniformMISDelta(engines.GraphParams(fam.g)), uniform, misCheck(fam.g))
-			})
-		}
+// BenchmarkPaper runs every spec of scenarios/paper (E1–E4, E6–E10, E13)
+// as one sub-benchmark named after the spec, through serve.Execute — the
+// path cmd/localbench prints EXPERIMENTS.md from, output checks included. It
+// reports the mean rounds of each role and, for paired specs, their ratio.
+func BenchmarkPaper(b *testing.B) {
+	specs, err := scenario.LoadDir(filepath.Join("scenarios", "paper"))
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchmarkTable1_MIS_NKnowledge reproduces the "Det. MIS, time depending
-// on the global size only" row (E2; Panconesi–Srinivasan slot, greedy
-// substitution per DESIGN.md §4).
-func BenchmarkTable1_MIS_NKnowledge(b *testing.B) {
-	uniform := engines.UniformMISID()
-	for _, n := range []int{64, 256, 1024} {
-		g := benchGNP(b, n, 6)
-		b.Run(fmt.Sprintf("gnp6/n=%d", n), func(b *testing.B) {
-			compare(b, g, engines.NonUniformMISID(engines.GraphParams(g)), uniform, misCheck(g))
-		})
-	}
-}
-
-// BenchmarkTable1_MIS_Arboricity reproduces the arboricity rows (E3):
-// H-partition MIS on bounded-arboricity graphs, uniform via the
-// product-form set-sequence.
-func BenchmarkTable1_MIS_Arboricity(b *testing.B) {
-	uniform := engines.UniformMISArb()
-	for _, n := range []int{256, 1024} {
-		for _, a := range []int{1, 3} {
-			g := graph.ForestUnion(n, a, int64(n*a))
-			b.Run(fmt.Sprintf("forest%d/n=%d", a, n), func(b *testing.B) {
-				compare(b, g, engines.NonUniformMISArb(engines.GraphParams(g)), uniform, misCheck(g))
-			})
-		}
-	}
-}
-
-// BenchmarkTable1_LambdaColoring reproduces the λ(Δ+1)-coloring trade-off
-// row (E4): more colors buy fewer rounds; Theorem 5 uniformizes each point.
-func BenchmarkTable1_LambdaColoring(b *testing.B) {
-	g := benchRegular(b, 1024, 8)
-	for _, lambda := range []int{1, 2, 4, 8} {
-		uniform, err := engines.UniformLambdaColoring(lambda)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("lambda=%d", lambda), func(b *testing.B) {
-			compare(b, g, engines.NonUniformLambdaColoring(lambda)(engines.GraphParams(g)), uniform, func(outputs []any) error {
-				colors, err := problems.Ints(outputs)
-				if err != nil {
-					return err
+	for _, s := range specs {
+		b.Run(s.Name, func(b *testing.B) {
+			var out *serve.Outcome
+			for i := 0; i < b.N; i++ {
+				if out, err = serve.Execute([]*scenario.Spec{s}, serve.ExecOptions{Corpus: benchCorpus, Parallel: 1}); err != nil {
+					b.Fatal(err)
 				}
-				return problems.ValidColoring(g, colors, 0)
-			})
+			}
+			rounds := map[string]float64{}
+			jobs := map[string]float64{}
+			for ji, m := range out.Batch.Metas {
+				rounds[m.Role] += float64(out.Results[ji].Res.Rounds)
+				jobs[m.Role]++
+			}
+			for role, n := range jobs {
+				b.ReportMetric(rounds[role]/n, "rounds/"+role)
+			}
+			if jobs["baseline"] > 0 {
+				b.ReportMetric((rounds["uniform"]/jobs["uniform"])/(rounds["baseline"]/jobs["baseline"]), "ratio")
+			}
 		})
 	}
 }
@@ -197,107 +165,6 @@ func BenchmarkTable1_EdgeColoring(b *testing.B) {
 		}
 		b.ReportMetric(float64(res.Rounds), "rounds/uniform")
 	})
-}
-
-// BenchmarkTable1_MaximalMatching reproduces the maximal-matching row (E6).
-func BenchmarkTable1_MaximalMatching(b *testing.B) {
-	uniform := engines.UniformMatching()
-	for _, n := range []int{256, 1024} {
-		g := benchGNP(b, n, 5)
-		b.Run(fmt.Sprintf("gnp5/n=%d", n), func(b *testing.B) {
-			compare(b, g, engines.NonUniformMatching(engines.GraphParams(g)), uniform, func(outputs []any) error {
-				return problems.ValidMaximalMatching(g, outputs)
-			})
-		})
-	}
-}
-
-// BenchmarkTable1_RulingSet reproduces the randomized ruling-set row (E7):
-// weak Monte Carlo baseline vs the Theorem 2 uniform Las Vegas transform.
-func BenchmarkTable1_RulingSet(b *testing.B) {
-	for _, beta := range []int{1, 2} {
-		uniform := engines.LasVegasRulingSet(beta)
-		g := benchGNP(b, 512, 8)
-		b.Run(fmt.Sprintf("beta=%d/gnp8/n=512", beta), func(b *testing.B) {
-			compare(b, g, engines.NonUniformRulingSet(beta)(engines.GraphParams(g)), uniform, func(outputs []any) error {
-				in, err := problems.Bools(outputs)
-				if err != nil {
-					return err
-				}
-				return problems.ValidRulingSet(g, in, 2, beta)
-			})
-		})
-	}
-}
-
-// BenchmarkTable1_LubyMIS reproduces the uniform randomized MIS row (E8):
-// rounds grow logarithmically with n. Under -short (the CI perf smoke) the
-// largest instance is dropped.
-func BenchmarkTable1_LubyMIS(b *testing.B) {
-	sizes := []int{1024, 4096, 16384}
-	if testing.Short() {
-		sizes = sizes[:2]
-	}
-	for _, n := range sizes {
-		g := benchGNP(b, n, 8)
-		b.Run(fmt.Sprintf("gnp8/n=%d", n), func(b *testing.B) {
-			var res *local.Result
-			for i := 0; i < b.N; i++ {
-				res = run(b, g, luby.New(), int64(i))
-			}
-			b.ReportMetric(float64(res.Rounds), "rounds")
-		})
-	}
-}
-
-// BenchmarkCorollary1_FastestOf reproduces the min{...} of Corollary 1(i)
-// via Theorem 4 (E9): on each extreme topology the combination tracks its
-// best engine.
-func BenchmarkCorollary1_FastestOf(b *testing.B) {
-	combined := engines.BestMIS()
-	cyc := benchCycle(b, 2048)
-	for _, fam := range []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"star", graph.Star(2048)},     // arboricity engine territory (a=1, Δ=n-1)
-		{"clique", graph.Complete(96)}, // identity engine territory (Δ = n-1, a large)
-		{"cycle", cyc},                 // Δ-engine territory (Δ = 2)
-	} {
-		b.Run(fam.name, func(b *testing.B) {
-			var res *local.Result
-			for i := 0; i < b.N; i++ {
-				res = run(b, fam.g, combined, int64(i))
-			}
-			if err := misCheck(fam.g)(res.Outputs); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Rounds), "rounds")
-		})
-	}
-}
-
-// BenchmarkCorollary1_DegPlus1Coloring reproduces the Section 5.1 product
-// construction (E10): uniform (deg+1)-coloring from a uniform MIS.
-func BenchmarkCorollary1_DegPlus1Coloring(b *testing.B) {
-	uniform := engines.UniformDegPlusOneColoring(engines.LubyMIS())
-	for _, n := range []int{256, 1024} {
-		g := benchGNP(b, n, 6)
-		b.Run(fmt.Sprintf("gnp6/n=%d", n), func(b *testing.B) {
-			var res *local.Result
-			for i := 0; i < b.N; i++ {
-				res = run(b, g, uniform, int64(i))
-			}
-			colors, err := problems.Ints(res.Outputs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := problems.ValidColoring(g, colors, g.MaxDegree()+1); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Rounds), "rounds")
-		})
-	}
 }
 
 // BenchmarkFigure1_AlternatingCascade reproduces Figure 1 (E11): the
@@ -351,22 +218,6 @@ func BenchmarkTheorem2_LasVegas(b *testing.B) {
 			b.ReportMetric(float64(total)/float64(b.N), "rounds/avg")
 		})
 	}
-}
-
-// BenchmarkObservation21_Composition measures the α-synchronizer
-// composition (E13): composed time stays below the sum of stage times plus
-// the wake-up skew.
-func BenchmarkObservation21_Composition(b *testing.B) {
-	g := benchGNP(b, 1024, 6)
-	delayed := local.WithWakeup(luby.New(), func(id int64) int { return int(id % 17) })
-	var res *local.Result
-	for i := 0; i < b.N; i++ {
-		res = run(b, g, delayed, int64(i))
-	}
-	if err := misCheck(g)(res.Outputs); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(res.Rounds), "rounds")
 }
 
 // BenchmarkAblation_TransformerOverhead isolates the Theorem 1 overhead

@@ -9,16 +9,20 @@
 //     (node-steps, steps/job, frontier occupancy) are held to the same
 //     standard.
 //
-//   - Pinned hot-path experiments (-pin, default the transformer-heavy
-//     tables) must not regress their wall time by more than -tolerance
-//     (default 20%). Because the committed baseline and the fresh file are
-//     usually produced on different machines (author laptop vs CI runner),
-//     the gate is machine-normalized by default: old wall times are
-//     rescaled by the speed ratio measured on the *non-pinned* experiments
-//     (so the gated quantity never dilutes its own denominator), and only a
-//     pinned hot path growing relative to that reference trips the gate.
-//     -normalize=false compares raw wall times (same-machine A/B runs);
-//     -tolerance -1 disables the timing gate entirely.
+//   - Pinned hot-path groups (-pin, default the transformer-heavy E1, E3
+//     and E6 specs) must not regress their wall time by more than
+//     -tolerance (default 20%). A pin is a case-sensitive prefix of the
+//     record's experiment (spec) name, and a group's wall time is the sum
+//     over every record it matches; a pin that matches no record of -old is
+//     an error, so a renamed spec cannot silently drop out of the gate.
+//     Because the committed baseline and the fresh file are usually
+//     produced on different machines (author laptop vs CI runner), the gate
+//     is machine-normalized by default: old wall times are rescaled by the
+//     speed ratio measured on the *unpinned* records (so the gated quantity
+//     never dilutes its own denominator), and only a pinned hot path
+//     growing relative to that reference trips the gate. -normalize=false
+//     compares raw wall times (same-machine A/B runs); -tolerance -1
+//     disables the timing gate entirely.
 //
 //   - The instructions-per-job trend (schema v4: sweep ns per node-step)
 //     must not regress by more than -instr-tolerance (default 20%) after
@@ -26,19 +30,19 @@
 //     moved up or down, so wins land in the CI log too; -instr-tolerance -1
 //     disables only this gate.
 //
-// Files that cannot be compared meaningfully — different seed/large flags,
-// different -parallel/-workers settings, or an unknown schema version — are
-// an error, not a silent skip: a stale or misgenerated baseline must not
-// disable the gate while CI stays green.
+// Files that cannot be compared meaningfully — different seeds, different
+// -parallel/-workers settings, or an unknown schema version — are an error,
+// not a silent skip: a stale or misgenerated baseline must not disable the
+// gate while CI stays green.
 //
 // Usage:
 //
 //	benchguard -old BENCH.json -new BENCH.ci.json [-tolerance 0.20]
-//	           [-instr-tolerance 0.20] [-pin E1,E3,E6] [-normalize=true]
+//	           [-instr-tolerance 0.20] [-pin e1-,e3-,e6-] [-normalize=true]
 //
 // CI regenerates BENCH.ci.json on every commit and runs this guard against
 // the committed BENCH.json, so a hot-path regression fails the build with a
-// per-experiment wall-time table instead of drifting by unnoticed.
+// per-group wall-time table instead of drifting by unnoticed.
 package main
 
 import (
@@ -46,6 +50,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"github.com/unilocal/unilocal/internal/benchfmt"
@@ -54,15 +59,29 @@ import (
 var (
 	flagOld       = flag.String("old", "BENCH.json", "committed baseline")
 	flagNew       = flag.String("new", "BENCH.ci.json", "freshly regenerated results")
-	flagTolerance = flag.Float64("tolerance", 0.20, "max allowed wall-time regression on pinned experiments (negative disables timing checks)")
+	flagTolerance = flag.Float64("tolerance", 0.20, "max allowed wall-time regression on pinned groups (negative disables timing checks)")
 	flagInstrTol  = flag.Float64("instr-tolerance", 0.20, "max allowed ns-per-node-step regression on the schema-v4 instruction trend (negative disables it)")
-	flagPin       = flag.String("pin", "E1,E3,E6", "comma-separated experiments pinned for the timing check")
-	flagNormalize = flag.Bool("normalize", true, "compare per-experiment shares of total wall time (machine-independent) instead of raw wall times")
+	flagPin       = flag.String("pin", "e1-,e3-,e6-", "comma-separated experiment-name prefixes whose summed wall time is gated (case-sensitive)")
+	flagNormalize = flag.Bool("normalize", true, "rescale old wall times by the machine-speed ratio of the unpinned records instead of comparing raw wall times")
 )
+
+// gate holds the timing-check settings.
+type gate struct {
+	pins      []string
+	tolerance float64
+	instrTol  float64
+	normalize bool
+}
 
 func main() {
 	flag.Parse()
-	if err := run(); err != nil {
+	g := gate{tolerance: *flagTolerance, instrTol: *flagInstrTol, normalize: *flagNormalize}
+	for _, p := range strings.Split(*flagPin, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			g.pins = append(g.pins, p)
+		}
+	}
+	if err := run(*flagOld, *flagNew, g); err != nil {
 		fmt.Fprintln(os.Stderr, "benchguard:", err)
 		os.Exit(1)
 	}
@@ -84,12 +103,12 @@ func load(path string) (*benchfmt.Doc, error) {
 	return &d, nil
 }
 
-func run() error {
-	old, err := load(*flagOld)
+func run(oldPath, newPath string, g gate) error {
+	old, err := load(oldPath)
 	if err != nil {
 		return err
 	}
-	fresh, err := load(*flagNew)
+	fresh, err := load(newPath)
 	if err != nil {
 		return err
 	}
@@ -97,7 +116,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("benchguard: %d records deterministic-identical (seed %d)\n", len(old.Results), old.Seed)
-	if *flagTolerance < 0 && *flagInstrTol < 0 {
+	if g.tolerance < 0 && g.instrTol < 0 {
 		fmt.Println("benchguard: timing checks disabled")
 		return nil
 	}
@@ -105,15 +124,14 @@ func run() error {
 		return fmt.Errorf("parallel/workers differ (%d/%d vs %d/%d): regenerate both files with the same flags, or pass -tolerance -1 to skip timing",
 			old.Parallel, old.Workers, fresh.Parallel, fresh.Workers)
 	}
-	return checkTimings(old, fresh)
+	return checkTimings(old, fresh, g)
 }
 
 // checkDeterministic requires the reproduction (what ran, and what it
 // computed) to be unchanged record for record.
 func checkDeterministic(old, fresh *benchfmt.Doc) error {
-	if old.Seed != fresh.Seed || old.Large != fresh.Large {
-		return fmt.Errorf("incomparable files: seed/large flags differ (%d/%v vs %d/%v)",
-			old.Seed, old.Large, fresh.Seed, fresh.Large)
+	if old.Seed != fresh.Seed {
+		return fmt.Errorf("incomparable files: seeds differ (%d vs %d)", old.Seed, fresh.Seed)
 	}
 	if len(old.Results) != len(fresh.Results) {
 		return fmt.Errorf("record count changed: %d vs %d", len(old.Results), len(fresh.Results))
@@ -152,71 +170,70 @@ func checkDeterministic(old, fresh *benchfmt.Doc) error {
 	return nil
 }
 
-// checkTimings compares per-experiment wall time on the pinned experiments,
-// benchstat-style. With -normalize, old wall times are rescaled by the
-// machine-speed ratio measured on the non-pinned experiments, cancelling
-// uniform host differences without letting a pinned regression inflate its
-// own denominator (a 1.5x slowdown of the heaviest pinned experiment would
-// otherwise drag the whole-suite factor up and mask itself).
-func checkTimings(old, fresh *benchfmt.Doc) error {
-	pins := map[string]bool{}
-	for _, p := range strings.Split(*flagPin, ",") {
-		if p = strings.TrimSpace(strings.ToUpper(p)); p != "" {
-			pins[p] = true
-		}
-	}
-	sum := func(d *benchfmt.Doc) (perExp map[string]int64, total, unpinned int64) {
-		perExp = map[string]int64{}
-		for _, r := range d.Results {
-			perExp[r.Experiment] += r.WallNs
-			total += r.WallNs
-			if !pins[r.Experiment] {
-				unpinned += r.WallNs
+// checkTimings compares the summed wall time of each pinned group,
+// benchstat-style. With normalize, old wall times are rescaled by the
+// machine-speed ratio measured on the unpinned records, cancelling uniform
+// host differences without letting a pinned regression inflate its own
+// denominator (a 1.5x slowdown of the heaviest pinned group would otherwise
+// drag the whole-suite factor up and mask itself).
+func checkTimings(old, fresh *benchfmt.Doc, g gate) error {
+	group := func(exp string) string {
+		for _, p := range g.pins {
+			if strings.HasPrefix(exp, p) {
+				return p
 			}
 		}
-		return perExp, total, unpinned
+		return ""
 	}
-	oldWall, oldTotal, oldRef := sum(old)
-	newWall, newTotal, newRef := sum(fresh)
+	sum := func(d *benchfmt.Doc) (perGroup map[string]int64, total int64) {
+		perGroup = map[string]int64{}
+		for _, r := range d.Results {
+			perGroup[group(r.Experiment)] += r.WallNs
+			total += r.WallNs
+		}
+		return perGroup, total
+	}
+	oldWall, oldTotal := sum(old)
+	newWall, newTotal := sum(fresh)
+	for _, p := range g.pins {
+		if !slices.ContainsFunc(old.Results, func(r benchfmt.Record) bool { return strings.HasPrefix(r.Experiment, p) }) {
+			return fmt.Errorf("pin %q matches no experiment in the old file", p)
+		}
+	}
 	if oldTotal == 0 || newTotal == 0 {
 		fmt.Println("benchguard: no wall-time data; skipping timing checks")
 		return nil
 	}
-	// factor rescales old wall times onto the new machine: with -normalize
-	// it is the speed ratio of the non-pinned reference set (falling back to
-	// the whole suite when everything is pinned), without it 1 (raw
+	// factor rescales old wall times onto the new machine: with normalize
+	// it is the speed ratio of the unpinned reference records (falling back
+	// to the whole suite when everything is pinned), without it 1 (raw
 	// comparison).
 	factor := 1.0
 	mode := "raw"
-	if *flagNormalize {
-		if oldRef > 0 && newRef > 0 {
+	if g.normalize {
+		if oldRef, newRef := oldWall[""], newWall[""]; oldRef > 0 && newRef > 0 {
 			factor = float64(newRef) / float64(oldRef)
-			mode = fmt.Sprintf("normalized vs non-pinned reference, machine factor %.2fx", factor)
+			mode = fmt.Sprintf("normalized vs unpinned reference, machine factor %.2fx", factor)
 		} else {
 			factor = float64(newTotal) / float64(oldTotal)
-			mode = fmt.Sprintf("normalized vs whole suite (no non-pinned reference), machine factor %.2fx", factor)
+			mode = fmt.Sprintf("normalized vs whole suite (no unpinned reference), machine factor %.2fx", factor)
 		}
 	}
 	fmt.Printf("benchguard: timing mode: %s\n", mode)
-	fmt.Println("| experiment | old ms | new ms | delta | pinned |")
-	fmt.Println("|---|---|---|---|---|")
+	fmt.Println("| pinned group | old ms | new ms | delta |")
+	fmt.Println("|---|---|---|---|")
 	var failures []string
-	for _, exp := range experimentOrder(old) {
-		o, n := oldWall[exp], newWall[exp]
+	for _, p := range g.pins {
+		o, n := oldWall[p], newWall[p]
 		if o == 0 {
 			continue
 		}
 		delta := float64(n)/(float64(o)*factor) - 1
-		pinned := ""
-		if pins[exp] {
-			pinned = "yes"
-			if *flagTolerance >= 0 && delta > *flagTolerance {
-				failures = append(failures, fmt.Sprintf("%s regressed %.1f%% (limit %.0f%%)",
-					exp, 100*delta, 100**flagTolerance))
-			}
+		if g.tolerance >= 0 && delta > g.tolerance {
+			failures = append(failures, fmt.Sprintf("%s* regressed %.1f%% (limit %.0f%%)",
+				p, 100*delta, 100*g.tolerance))
 		}
-		fmt.Printf("| %s | %.1f | %.1f | %+.1f%% | %s |\n",
-			exp, float64(o)/1e6, float64(n)/1e6, 100*delta, pinned)
+		fmt.Printf("| %s* | %.1f | %.1f | %+.1f%% |\n", p, float64(o)/1e6, float64(n)/1e6, 100*delta)
 	}
 	if o, n := old.Corpus, fresh.Corpus; o != nil && n != nil && o.WarmNs > 0 && n.WarmNs > 0 {
 		fmt.Printf("corpus disk tier: cold/warm %.1fx → %.1fx (%s n=%d, image %d bytes)\n",
@@ -237,26 +254,13 @@ func checkTimings(old, fresh *benchfmt.Doc) error {
 		delta := n.NsPerStep/adjusted - 1
 		fmt.Printf("instruction budget: %.1f → %.1f ns/step (%+.1f%% after normalization; %.0f steps/job, frontier occupancy %.3f)\n",
 			o.NsPerStep, n.NsPerStep, 100*delta, n.StepsPerJob, n.FrontierOccupancy)
-		if *flagInstrTol >= 0 && delta > *flagInstrTol {
+		if g.instrTol >= 0 && delta > g.instrTol {
 			failures = append(failures, fmt.Sprintf("ns/step regressed %.1f%% (limit %.0f%%)",
-				100*delta, 100**flagInstrTol))
+				100*delta, 100*g.instrTol))
 		}
 	}
 	if len(failures) > 0 {
 		return fmt.Errorf("pinned hot-path regression: %s", strings.Join(failures, "; "))
 	}
 	return nil
-}
-
-// experimentOrder returns the experiments in first-appearance order.
-func experimentOrder(d *benchfmt.Doc) []string {
-	seen := map[string]bool{}
-	var order []string
-	for _, r := range d.Results {
-		if !seen[r.Experiment] {
-			seen[r.Experiment] = true
-			order = append(order, r.Experiment)
-		}
-	}
-	return order
 }

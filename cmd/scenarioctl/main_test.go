@@ -97,14 +97,17 @@ func TestValidateGoodCorpus(t *testing.T) {
 	}
 }
 
-// TestValidateCommittedCorpus keeps the committed scenarios/ directory
-// loadable by the exact code path CI's scenario gate runs.
+// TestValidateCommittedCorpus keeps the committed scenarios/ and
+// scenarios/paper directories loadable by the exact code path CI's scenario
+// gate runs.
 func TestValidateCommittedCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("expands every committed scenario graph")
 	}
-	var stdout, stderr strings.Builder
-	if !validate(filepath.Join("..", "..", "scenarios"), &stdout, &stderr) {
-		t.Fatalf("committed corpus failed validation:\n%s", stderr.String())
+	for _, dir := range []string{filepath.Join("..", "..", "scenarios"), filepath.Join("..", "..", "scenarios", "paper")} {
+		var stdout, stderr strings.Builder
+		if !validate(dir, &stdout, &stderr) {
+			t.Fatalf("committed corpus %s failed validation:\n%s", dir, stderr.String())
+		}
 	}
 }

@@ -18,11 +18,12 @@
 // frontier, persistent worker pool — DESIGN.md §2) and the per-experiment
 // index (§3), EXPERIMENTS.md for measured reproductions of Table 1 and
 // Figure 1, and the examples/ directory for runnable entry points. The
-// implementation lives under internal/; the benchmark harness
-// (bench_test.go, cmd/) is the top-level interface for regenerating the
-// paper's evaluation, and the declarative scenario corpus under scenarios/
-// (DESIGN.md §2.7, cmd/localbench -scenarios, cmd/scenarioctl) opens the
-// workload beyond the hard-coded experiment set. The same scenario stack is
+// implementation lives under internal/. Every workload is a declarative
+// scenario spec (DESIGN.md §2.7): the paper's experiments are the specs in
+// scenarios/paper, which cmd/localbench runs by default to regenerate the
+// evaluation (BenchmarkPaper in bench_test.go runs the same specs), and the
+// corpus under scenarios/ (cmd/localbench -scenarios scenarios/,
+// cmd/scenarioctl) opens the workload beyond them. The same scenario stack is
 // served by the long-lived cmd/localserved service (internal/serve,
 // DESIGN.md §2.8): clients POST one spec each and receive the deterministic
 // document, with request cancellation threaded into the engine's round loop

@@ -32,8 +32,8 @@ type Record struct {
 	// Steps is the run's total node-steps (Σ per-round live-frontier sizes)
 	// — the engine's deterministic work measure, identical at any worker
 	// count and pinned by benchguard like rounds and messages. Zero (and
-	// omitted) in documents that scrub machine-independent work metrics,
-	// such as the scenario corpus's deterministic view.
+	// omitted) in the served documents, which carry only what a
+	// journal-recovered document can rebuild from slot outcomes.
 	Steps int64 `json:"steps,omitempty"`
 	// Ratio is uniform rounds / non-uniform rounds, on uniform records only.
 	Ratio float64 `json:"ratio,omitempty"`
@@ -88,7 +88,6 @@ type Doc struct {
 	Seed          int64      `json:"seed"`
 	Parallel      int        `json:"parallel"`
 	Workers       int        `json:"workers"`
-	Large         bool       `json:"large"`
 	Sweep         SweepStats `json:"sweep"`
 	// Instr is the instruction-budget block (schema ≥ 4); absent in
 	// documents whose records carry no step counts.

@@ -115,9 +115,13 @@ const (
 	SchedPermuted = "permuted"
 	// SchedStaggeredPermuted composes both adversaries.
 	SchedStaggeredPermuted = "staggered-permuted"
+	// SchedIDMod wakes each node id mod (max_delay+1) rounds late through
+	// the α-synchronizer (local.WithWakeup): a seedless skew, the schedule
+	// of Observation 2.1's composition experiment.
+	SchedIDMod = "id-mod"
 )
 
-// defaultMaxDelay is the staggered wake-up bound when max_delay is unset.
+// defaultMaxDelay is the wake-up delay bound when max_delay is unset.
 const defaultMaxDelay = 8
 
 // SchedSpec selects a deterministic adversarial scheduler for every run of a
@@ -125,12 +129,13 @@ const defaultMaxDelay = 8
 // any -workers/-parallel setting and reproducible from the seeds alone.
 type SchedSpec struct {
 	// Kind is one of "", "lockstep", "staggered", "permuted",
-	// "staggered-permuted" ("" = lockstep).
+	// "staggered-permuted", "id-mod" ("" = lockstep).
 	Kind string `json:"kind,omitempty"`
-	// MaxDelay bounds the staggered wake-up delay (staggered kinds only;
+	// MaxDelay bounds the wake-up delay (staggered kinds and id-mod only;
 	// default 8).
 	MaxDelay int `json:"max_delay,omitempty"`
-	// Seed drives the adversarial schedule, mixed with each job's run seed.
+	// Seed drives the adversarial schedule, mixed with each job's run seed
+	// (not taken by lockstep or id-mod).
 	Seed int64 `json:"seed,omitempty"`
 }
 
@@ -147,7 +152,7 @@ func (ss SchedSpec) permutes() bool {
 	return ss.Kind == SchedPermuted || ss.Kind == SchedStaggeredPermuted
 }
 
-// effectiveMaxDelay is the wake-up delay bound a staggered schedule uses.
+// effectiveMaxDelay is the wake-up delay bound a delaying schedule uses.
 func (ss SchedSpec) effectiveMaxDelay() int {
 	if ss.MaxDelay != 0 {
 		return ss.MaxDelay
@@ -159,20 +164,23 @@ func (ss SchedSpec) effectiveMaxDelay() int {
 func (ss SchedSpec) Validate() error {
 	var errs []error
 	switch ss.Kind {
-	case "", SchedLockstep, SchedStaggered, SchedPermuted, SchedStaggeredPermuted:
+	case "", SchedLockstep, SchedStaggered, SchedPermuted, SchedStaggeredPermuted, SchedIDMod:
 	default:
-		errs = append(errs, fmt.Errorf("scheduler: unknown kind %q (have: %s, %s, %s, %s)",
-			ss.Kind, SchedLockstep, SchedStaggered, SchedPermuted, SchedStaggeredPermuted))
+		errs = append(errs, fmt.Errorf("scheduler: unknown kind %q (have: %s, %s, %s, %s, %s)",
+			ss.Kind, SchedLockstep, SchedStaggered, SchedPermuted, SchedStaggeredPermuted, SchedIDMod))
 		return errors.Join(errs...)
 	}
 	if ss.MaxDelay < 0 {
 		errs = append(errs, fmt.Errorf("scheduler: max_delay %d must be >= 0", ss.MaxDelay))
 	}
-	if !ss.staggers() && ss.MaxDelay != 0 {
-		errs = append(errs, fmt.Errorf("scheduler: max_delay is only meaningful for the %s kinds", SchedStaggered))
+	if !ss.staggers() && ss.Kind != SchedIDMod && ss.MaxDelay != 0 {
+		errs = append(errs, fmt.Errorf("scheduler: max_delay is only meaningful for the %s and %s kinds", SchedStaggered, SchedIDMod))
 	}
 	if ss.IsDefault() && ss.Seed != 0 {
 		errs = append(errs, fmt.Errorf("scheduler: the %s kind takes no seed (rounds are not perturbed)", SchedLockstep))
+	}
+	if ss.Kind == SchedIDMod && ss.Seed != 0 {
+		errs = append(errs, fmt.Errorf("scheduler: the %s kind takes no seed (delays are a function of the identity)", SchedIDMod))
 	}
 	return errors.Join(errs...)
 }
@@ -183,6 +191,8 @@ func (ss SchedSpec) String() string {
 	switch {
 	case ss.IsDefault():
 		return SchedLockstep
+	case ss.Kind == SchedIDMod:
+		return fmt.Sprintf("%s(max=%d)", ss.Kind, ss.effectiveMaxDelay())
 	case ss.staggers():
 		return fmt.Sprintf("%s(max=%d, seed=%d)", ss.Kind, ss.effectiveMaxDelay(), ss.Seed)
 	default:
@@ -191,13 +201,18 @@ func (ss SchedSpec) String() string {
 }
 
 // wrapAlgo applies the wake-up half of the schedule to one job's algorithm.
-// The delay seed mixes the scheduler seed with the job seed, so two seeds of
-// one spec face different (but individually reproducible) wake-up patterns.
+// The staggered delay seed mixes the scheduler seed with the job seed, so two
+// seeds of one spec face different (but individually reproducible) wake-up
+// patterns; id-mod delays depend on the identity alone.
 func (ss SchedSpec) wrapAlgo(a local.Algorithm, jobSeed int64) local.Algorithm {
-	if !ss.staggers() {
-		return a
+	switch {
+	case ss.Kind == SchedIDMod:
+		period := int64(ss.effectiveMaxDelay()) + 1
+		return local.WithWakeup(a, func(id int64) int { return int(id % period) })
+	case ss.staggers():
+		return local.StaggeredWakeup(a, ss.Seed^(jobSeed*0x9E3779B9), ss.effectiveMaxDelay())
 	}
-	return local.StaggeredWakeup(a, ss.Seed^(jobSeed*0x9E3779B9), ss.effectiveMaxDelay())
+	return a
 }
 
 // permuteOpt returns the engine permutation half of the schedule, or nil.

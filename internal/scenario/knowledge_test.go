@@ -32,6 +32,7 @@ func TestKnowledgeSpecValidate(t *testing.T) {
 			return s
 		}(),
 		func() *Spec { s := validSpec(); s.Scheduler = SchedSpec{Kind: SchedPermuted, Seed: 3}; return s }(),
+		func() *Spec { s := validSpec(); s.Scheduler = SchedSpec{Kind: SchedIDMod, MaxDelay: 16}; return s }(),
 	}
 	for i, s := range good {
 		if err := s.Validate(); err != nil {
@@ -74,6 +75,12 @@ func TestKnowledgeSpecValidate(t *testing.T) {
 		{"seed on lockstep", func(s *Spec) {
 			s.Scheduler = SchedSpec{Seed: 7}
 		}, "takes no seed"},
+		{"seed on id-mod", func(s *Spec) {
+			s.Scheduler = SchedSpec{Kind: SchedIDMod, MaxDelay: 16, Seed: 7}
+		}, "takes no seed"},
+		{"negative max_delay on id-mod", func(s *Spec) {
+			s.Scheduler = SchedSpec{Kind: SchedIDMod, MaxDelay: -1}
+		}, "must be >= 0"},
 	}
 	for _, c := range cases {
 		s := validSpec()

@@ -317,6 +317,15 @@ func Parse(data []byte) (*Spec, error) {
 	if err := dec.Decode(&trailing); err != io.EOF {
 		return nil, fmt.Errorf("trailing data after scenario object")
 	}
+	// An empty list means the same as an omitted one; keep the omitted form
+	// so a parsed spec re-marshals (dropping empty lists) and re-parses to
+	// itself.
+	if len(s.Seeds) == 0 {
+		s.Seeds = nil
+	}
+	if len(s.Knowledge.Looseness) == 0 {
+		s.Knowledge.Looseness = nil
+	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}

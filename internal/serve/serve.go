@@ -275,11 +275,12 @@ func Execute(specs []*scenario.Spec, opts ExecOptions) (*Outcome, error) {
 }
 
 // DeterministicDoc builds the benchfmt document for a served response with
-// every non-deterministic field scrubbed: wall times, allocation counters
-// and the server's own parallelism are zeroed, so the JSON body — like the
-// markdown one — is a pure function of (spec, seed) and safe to cache and
-// diff across worker counts. CLI consumers that want timing keep using
-// localbench -json.
+// every field scrubbed that SlotsDoc cannot rebuild from slot outcomes: wall
+// times, allocation counters, node steps, the instruction block and the
+// server's own parallelism are dropped, so the JSON body — like the markdown
+// one — is a pure function of (spec, seed), safe to cache and diff across
+// worker counts, and byte-identical to a journal-recovered document. CLI
+// consumers that want timing and steps keep using localbench -json.
 func DeterministicDoc(out *Outcome, seed int64) (*benchfmt.Doc, error) {
 	doc, err := scenario.Doc(out.Batch, out.Results, out.Stats, seed, 0, 0)
 	if err != nil {
@@ -287,9 +288,11 @@ func DeterministicDoc(out *Outcome, seed int64) (*benchfmt.Doc, error) {
 	}
 	doc.GeneratedBy = "cmd/localserved"
 	doc.Sweep = benchfmt.SweepStats{Jobs: out.Stats.Jobs}
+	doc.Instr = nil
 	for i := range doc.Results {
 		doc.Results[i].WallNs = 0
 		doc.Results[i].Allocs = 0
+		doc.Results[i].Steps = 0
 	}
 	return doc, nil
 }
